@@ -1,7 +1,7 @@
 """Distributed-campaign wall clock of the coordinator (:mod:`repro.coord`).
 
 A coordinated campaign fans N partitions out to N serve processes and
-stream-merges the shards; the win over ``--partitions 1`` (one process
+stream-merges their rows; the win over ``--partitions 1`` (one process
 running the whole manifest) is that the partitions simulate
 *concurrently* on separate machines.
 
@@ -183,7 +183,7 @@ def test_distributed_campaign_speedup(tmp_path_factory, write_artifact):
         finally:
             _stop(process)
 
-    # The real machinery end-to-end on the warm shards: the merged
+    # The real machinery end-to-end on the warm workers: the merged
     # store must match the single-process answer byte for byte.
     processes, urls = [], []
     try:

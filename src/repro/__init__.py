@@ -61,7 +61,7 @@ lazily (``import repro`` stays cheap)::
 import importlib
 from typing import List
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 #: Public name -> defining module.  Resolved on first attribute access so
 #: ``import repro`` pulls in nothing beyond this file.
@@ -95,7 +95,6 @@ _EXPORTS = {
     "BatchRunner": "repro.core.batch",
     # persistence (repro.store)
     "ResultStore": "repro.store",
-    "ShardedResultStore": "repro.store",
     "StoredResult": "repro.store",
     "StoreStats": "repro.store",
     "Campaign": "repro.store",
@@ -103,7 +102,6 @@ _EXPORTS = {
     "CampaignStatus": "repro.store",
     "campaign_names": "repro.store",
     "campaign_statuses": "repro.store",
-    "open_store": "repro.store",
     "merge_stores": "repro.store",
     "sync_stores": "repro.store",
     "MergeReport": "repro.store",

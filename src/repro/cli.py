@@ -93,14 +93,6 @@ def _add_store(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _open_store(path: str, shards=None):
-    from repro.store import open_store
-
-    # A directory is a sharded store, a file is a plain one -- every
-    # --store flag accepts both shapes.
-    return open_store(path, shards=shards)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-wsn",
@@ -335,14 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sto_init = sto_sub.add_parser("init", help="create an empty store")
     sto_init.add_argument("path", type=str, help="store database file")
-    sto_init.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="create a sharded store: PATH becomes a directory of N "
-        "shard files (N independent writers instead of one)",
-    )
 
     sto_stats = sto_sub.add_parser("stats", help="summarise a store")
     sto_stats.add_argument("path", type=str, help="store database file")
@@ -377,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         "merge", help="import other stores' rows (byte-identity checked)"
     )
     sto_mrg.add_argument(
-        "dest", type=str, help="destination store (file or shard directory)"
+        "dest", type=str, help="destination store file"
     )
     sto_mrg.add_argument(
         "sources", type=str, nargs="+", help="source store(s) to import"
@@ -752,6 +736,7 @@ def _run_manifest(args, payload) -> int:
     from dataclasses import replace
 
     from repro.core.batch import BatchRunner
+    from repro.store import ResultStore
     from repro.system.stochastic import manifest_scenarios
 
     scenarios = manifest_scenarios(payload)
@@ -766,7 +751,7 @@ def _run_manifest(args, payload) -> int:
         scenarios = [
             s.with_seed(derive_seed(args.seed, i)) for i, s in enumerate(scenarios)
         ]
-    store = _open_store(args.store) if args.store else None
+    store = ResultStore(args.store) if args.store else None
     label = payload.get("family", "manifest")
     print(f"{label}: {len(scenarios)} scenarios on {args.jobs} worker(s)")
     runner = BatchRunner(jobs=max(args.jobs, 1), store=store)
@@ -842,8 +827,9 @@ def _cmd_run_scenario(args) -> int:
     print(scenario.describe())
     if args.store:
         from repro.core.batch import BatchRunner
+        from repro.store import ResultStore
 
-        runner = BatchRunner(jobs=1, store=_open_store(args.store))
+        runner = BatchRunner(jobs=1, store=ResultStore(args.store))
         result = runner.run_one(scenario)
         source = "store" if runner.store_hits else "fresh simulation"
         print(f"({source}: {args.store})")
@@ -888,12 +874,12 @@ def _cmd_gen_scenarios(args) -> int:
     elif not args.store:
         print(text)
     if args.store:
-        from repro.store import Campaign
+        from repro.store import Campaign, ResultStore
         from repro.system.stochastic import manifest_scenarios
 
         name = args.campaign or f"{family.name}-n{args.n}-s{args.seed}"
         campaign = Campaign.create(
-            _open_store(args.store),
+            ResultStore(args.store),
             name,
             manifest_scenarios(manifest),
             source=f"gen-scenarios {family.name}",
@@ -922,6 +908,7 @@ def _cmd_explore(args) -> int:
     from dataclasses import replace
 
     from repro.core.study import Study, paper_study_spec, variant_name
+    from repro.store import ResultStore
 
     spec = paper_study_spec(
         seed=args.seed,
@@ -946,7 +933,7 @@ def _cmd_explore(args) -> int:
     )
     study = Study(
         spec,
-        store=_open_store(args.store) if args.store else None,
+        store=ResultStore(args.store) if args.store else None,
         on_name_conflict="suffix",
     )
     outcome = study.run()
@@ -966,6 +953,7 @@ def _cmd_study(args) -> int:
         study_status,
         study_statuses,
     )
+    from repro.store import ResultStore
 
     if args.study_command == "template":
         text = paper_study_spec().to_json()
@@ -992,7 +980,7 @@ def _cmd_study(args) -> int:
             spec = StudySpec.from_json(text)
         if args.name:
             spec = replace(spec, name=args.name)
-        store = _open_store(args.store) if args.store else None
+        store = ResultStore(args.store) if args.store else None
         study = Study(spec, store=store, jobs=args.jobs, chunk_size=args.chunk)
         print(spec.describe())
         if store is not None:
@@ -1009,7 +997,7 @@ def _cmd_study(args) -> int:
             )
         return 0
     if args.study_command == "resume":
-        store = _open_store(args.store)
+        store = ResultStore(args.store)
         study = Study.load(store, args.name, jobs=args.jobs)
         before = study.status()
         print(before.summary())
@@ -1018,7 +1006,7 @@ def _cmd_study(args) -> int:
         _print_outcome(outcome, save=args.save)
         return 0
     if args.study_command == "status":
-        store = _open_store(args.store)
+        store = ResultStore(args.store)
         if args.name is not None:
             print(study_status(store, args.name).summary())
             return 0
@@ -1115,12 +1103,14 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_store(args) -> int:
+    from repro.store import ResultStore
+
     if args.store_command == "merge":
         from repro.store import merge_stores
 
-        dest = _open_store(args.dest)
+        dest = ResultStore(args.dest)
         for source_path in args.sources:
-            source = _open_store(source_path)
+            source = ResultStore(source_path)
             report = merge_stores(
                 dest,
                 source,
@@ -1133,8 +1123,8 @@ def _cmd_store(args) -> int:
         from repro.store import sync_stores
 
         reports = sync_stores(
-            _open_store(args.a),
-            _open_store(args.b),
+            ResultStore(args.a),
+            ResultStore(args.b),
             journals=not args.no_journals,
             dry_run=args.dry_run,
         )
@@ -1144,15 +1134,13 @@ def _cmd_store(args) -> int:
     if args.store_command == "init":
         from repro.store import STORE_SCHEMA
 
-        store = _open_store(args.path, shards=args.shards)
-        shards = getattr(store, "n_shards", 1)
-        layout = f"{shards} shard(s), " if shards > 1 else ""
+        ResultStore(args.path)
         print(
             f"store initialised at {args.path} "
-            f"({layout}layout version {STORE_SCHEMA})"
+            f"(layout version {STORE_SCHEMA})"
         )
         return 0
-    store = _open_store(args.path)
+    store = ResultStore(args.path)
     if args.store_command == "stats":
         print(store.stats().summary())
         return 0
@@ -1204,9 +1192,9 @@ def _cmd_store(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    from repro.store import Campaign, campaign_statuses
+    from repro.store import Campaign, ResultStore, campaign_statuses
 
-    store = _open_store(args.store)
+    store = ResultStore(args.store)
     if args.campaign_command == "run":
         import json
         from pathlib import Path
@@ -1329,6 +1317,7 @@ def _cmd_serve(args) -> int:
 
     import repro.obs as obs
     from repro.service import JobQueue, ServiceApp, ServiceServer, WorkerPool
+    from repro.store import ResultStore
 
     # Every service line flows through the shared "repro" logger tree,
     # so --log-json switches the whole process (HTTP access lines,
@@ -1337,7 +1326,7 @@ def _cmd_serve(args) -> int:
     obs.configure(metrics=True, events=args.events)
     log = obs.get_logger("repro.service.serve")
 
-    store = _open_store(args.store)
+    store = ResultStore(args.store)
     queue = JobQueue(store)
     requeued = queue.requeue_orphans(args.heartbeat_timeout)
     if requeued:
@@ -1410,8 +1399,9 @@ def _cmd_serve(args) -> int:
 
 def _cmd_coord(args) -> int:
     from repro.coord import Coordinator, coord_names, coord_status
+    from repro.store import ResultStore
 
-    store = _open_store(args.store)
+    store = ResultStore(args.store)
     if args.coord_command == "status":
         if args.name is not None:
             print(coord_status(store, args.name).summary())
@@ -1505,6 +1495,7 @@ def _cmd_tradeoff(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     from repro.core.montecarlo import monte_carlo
+    from repro.store import ResultStore
     from repro.system.config import SystemConfig
 
     config = SystemConfig(
@@ -1516,7 +1507,7 @@ def _cmd_montecarlo(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
         backend=args.backend,
-        store=_open_store(args.store) if args.store else None,
+        store=ResultStore(args.store) if args.store else None,
     )
     print(result.summary())
     print(

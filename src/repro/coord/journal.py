@@ -10,9 +10,8 @@ manifest and it resumes from the journal, re-fetching nothing already
 merged (result completion is, as everywhere else, derived from the
 results table itself; the ``merged`` state just records that a
 partition's fetch finished so resume can skip the HTTP round-trip).
-
-On a sharded store the journal lands in the meta shard automatically,
-alongside the campaign journals and the job queue.
+The journal shares the store file with the campaign journals and the
+job queue.
 """
 
 from __future__ import annotations

@@ -178,7 +178,7 @@ def job_partition(payload: dict, total: int) -> Optional[Tuple[int, int]]:
     A campaign payload may carry ``{"partition": {"index": I, "of": N}}``
     (``I`` 1-based) to run only its I-th of N disjoint slices -- the
     service-side face of :meth:`~repro.store.Campaign.partition`, so N
-    workers with local shards can split one manifest and the shards
+    workers with local stores can split one manifest and their stores
     merge afterwards.  Returns ``(index, of)`` or ``None``.
     """
     part = payload.get("partition")

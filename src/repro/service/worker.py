@@ -95,7 +95,7 @@ def execute_job(
         if part is not None:
             # Same full-list seed resolution, then this job's slice --
             # so the keys match a single-store run of the whole
-            # manifest and the shards merge without collisions.
+            # manifest and the partition stores merge without collisions.
             index, of = part
             scenarios = partition_scenarios(scenarios, of)[index - 1]
     else:

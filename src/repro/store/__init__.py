@@ -26,16 +26,14 @@ Quickstart::
 
     rows = store.query(family="factory-floor", min_transmissions=100)
 
-Scaling out: a :class:`ShardedResultStore` spreads the result rows over
-N per-shard SQLite files behind the same API (N independent writers
-instead of one), :func:`merge_stores`/:func:`sync_stores` fold stores
-into each other with byte-identity checks, and
+Merge and partitions: :func:`merge_stores`/:func:`sync_stores` fold
+stores into each other with byte-identity checks, and
 :meth:`Campaign.run_partitioned` fans a campaign out over processes
-with local scratch stores and merges at the end::
+with local scratch stores and merges them back into the one store
+file at the end::
 
-    store = ShardedResultStore("results.d", shards=4)
-    camp = Campaign.create(store, "floor-study", family.expand(n=40, seed=0))
-    camp.run_partitioned(parts=4)    # 4 processes, 4 local stores, merged
+    wide = Campaign.create(store, "floor-wide", family.expand(n=400, seed=1))
+    wide.run_partitioned(parts=4)    # 4 processes, 4 local stores, merged
 """
 
 from repro.store.db import (
@@ -67,20 +65,12 @@ from repro.store.merge import (
     merge_stores,
     sync_stores,
 )
-from repro.store.shard import (
-    DEFAULT_SHARDS,
-    ShardedResultStore,
-    open_store,
-    shard_index,
-)
 
 __all__ = [
-    "DEFAULT_SHARDS",
     "RESULT_COLUMNS",
     "STORE_SCHEMA",
     "MergeReport",
     "ResultStore",
-    "ShardedResultStore",
     "StoredResult",
     "StoredStudy",
     "StoreStats",
@@ -94,12 +84,10 @@ __all__ = [
     "group_campaign_statuses",
     "import_raw_rows",
     "merge_stores",
-    "open_store",
     "partition_name",
     "partition_scenarios",
     "partition_slices",
     "scenario_family",
-    "shard_index",
     "split_partition_name",
     "sync_stores",
 ]

@@ -25,7 +25,7 @@ Partitioned execution
 :meth:`Campaign.partition` splits the journaled scenario list into N
 disjoint, contiguous :class:`CampaignPartition` slices; each runs as an
 ordinary sub-campaign (``<name>@p<i>of<N>``) against whatever store its
-process holds locally -- typically a scratch file or shard on its own
+process holds locally -- typically a scratch file on its own
 machine -- and :func:`~repro.store.merge.merge_stores` folds the rows
 back into the canonical store afterwards.  Seeds are resolved over the
 *full* list before slicing, so a partitioned run journals exactly the
@@ -228,10 +228,9 @@ class Campaign:
     def pending(self) -> List[Scenario]:
         """Journaled scenarios whose results are not stored yet.
 
-        Membership goes through the store's key API (not a SQL join
-        against the results table) because the journal and the result
-        rows need not share a database file -- on a sharded store the
-        journal lives in the meta shard and the rows are spread out.
+        Membership goes through the store's key API
+        (:meth:`~repro.store.db.ResultStore.have_keys`), one aggregated
+        query per 500 keys.
         """
         rows = self._journal_rows()
         present = self.store.have_keys([key for key, _ in rows])

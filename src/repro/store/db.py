@@ -15,9 +15,11 @@ Design notes
 - **Safe under fan-out.**  The database runs in WAL mode and every
   (process, thread) pair gets its own lazily opened connection, so a
   store object can be shared across a :class:`~repro.core.batch.BatchRunner`
-  thread pool or pickled into process workers.  Writes use
-  ``INSERT OR IGNORE`` inside immediate transactions: when two runners
-  race on the same scenario, exactly one row survives and both see it.
+  thread pool or pickled into process workers.  Writes encode their
+  row first and then run one ``INSERT OR IGNORE`` inside an immediate
+  transaction, so the file's single write lock is held only for the
+  insert; when two runners race on the same scenario, exactly one row
+  survives and both see it.
 - **Queryable.**  Headline metrics and the three Table V configuration
   fields are stored as indexed columns next to the payload, so
   ``store.query(family=..., min_transmissions=...)`` never parses JSON.
@@ -171,6 +173,13 @@ RESULT_COLUMNS = (
     "created_at", "created_unix",
 )
 
+#: The one results-row insert, shared by :meth:`ResultStore.put` and
+#: :meth:`ResultStore.put_raw`: first writer of a key wins.
+_INSERT_RESULT = (
+    f"INSERT OR IGNORE INTO results ({', '.join(RESULT_COLUMNS)}) "
+    f"VALUES ({','.join('?' * len(RESULT_COLUMNS))})"
+)
+
 
 def canonical_json(payload: object) -> str:
     """The store's one serialisation: sorted keys, fixed separators.
@@ -283,7 +292,6 @@ class StoreStats:
     oldest: Optional[str]
     newest: Optional[str]
     by_job_status: Tuple[Tuple[str, int], ...] = ()
-    n_shards: int = 1
 
     def summary(self) -> str:
         """Multi-line human-readable report."""
@@ -295,8 +303,6 @@ class StoreStats:
             f"campaigns: {self.n_campaigns}",
             f"simulated wall time banked: {self.total_wall_time_s:.2f} s",
         ]
-        if self.n_shards > 1:
-            lines.insert(1, f"shards: {self.n_shards}")
         if self.by_job_status:
             lines.append(
                 "jobs: "
@@ -347,6 +353,14 @@ class ResultStore:
         if not self.path.parent.exists():
             raise ConfigError(
                 f"store directory {str(self.path.parent)!r} does not exist"
+            )
+        if self.path.is_dir():
+            # Each shard file is a complete store (shard-00 holds the
+            # journals), so one merge folds the directory into a file.
+            raise ConfigError(
+                f"{text!r} is a directory: a pre-1.11 sharded store, which "
+                f"this version no longer opens; migrate it to one file with "
+                f"'repro-wsn store merge NEW.db {text}/shard-*.db'"
             )
         self._connections: Dict[Tuple[int, int], sqlite3.Connection] = {}
         self._init_schema()
@@ -445,41 +459,32 @@ class ResultStore:
         import repro
 
         t0 = time.perf_counter() if _OBS.metrics_on else 0.0
-        key = scenario.cache_key()
         now = _utc_now()
+        # Encode before taking the write lock: other writers into this
+        # file wait only for the INSERT, not for our JSON encoding.
+        row = (
+            scenario.cache_key(),
+            scenario.name,
+            scenario_family(scenario),
+            scenario.backend,
+            scenario.horizon,
+            scenario.seed,
+            scenario.config.clock_hz,
+            scenario.config.watchdog_s,
+            scenario.config.tx_interval_s,
+            int(result.transmissions),
+            float(result.final_voltage),
+            canonical_json(scenario.to_dict()),
+            canonical_json(result.to_payload()),
+            repro.__version__,
+            float(wall_time_s),
+            now.isoformat(),
+            now.timestamp(),
+        )
         conn = self._conn()
         conn.execute("BEGIN IMMEDIATE")
         try:
-            cursor = conn.execute(
-                """
-                INSERT OR IGNORE INTO results (
-                    key, name, family, backend, horizon, seed,
-                    clock_hz, watchdog_s, tx_interval_s,
-                    transmissions, final_voltage,
-                    scenario, payload, repro_version, wall_time_s,
-                    created_at, created_unix
-                ) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-                """,
-                (
-                    key,
-                    scenario.name,
-                    scenario_family(scenario),
-                    scenario.backend,
-                    scenario.horizon,
-                    scenario.seed,
-                    scenario.config.clock_hz,
-                    scenario.config.watchdog_s,
-                    scenario.config.tx_interval_s,
-                    int(result.transmissions),
-                    float(result.final_voltage),
-                    canonical_json(scenario.to_dict()),
-                    canonical_json(result.to_payload()),
-                    repro.__version__,
-                    float(wall_time_s),
-                    now.isoformat(),
-                    now.timestamp(),
-                ),
-            )
+            cursor = conn.execute(_INSERT_RESULT, row)
             conn.execute("COMMIT")
         except BaseException:
             conn.execute("ROLLBACK")
@@ -507,15 +512,10 @@ class ResultStore:
                 f"raw result row must have {len(RESULT_COLUMNS)} columns "
                 f"({', '.join(RESULT_COLUMNS)}), got {len(row)}"
             )
-        placeholders = ",".join("?" * len(RESULT_COLUMNS))
         conn = self._conn()
         conn.execute("BEGIN IMMEDIATE")
         try:
-            cursor = conn.execute(
-                f"INSERT OR IGNORE INTO results ({', '.join(RESULT_COLUMNS)}) "
-                f"VALUES ({placeholders})",
-                tuple(row),
-            )
+            cursor = conn.execute(_INSERT_RESULT, tuple(row))
             existing = None
             if cursor.rowcount != 1:
                 existing = conn.execute(
@@ -638,8 +638,8 @@ class ResultStore:
         """The subset of ``keys`` that have stored results.
 
         The set-valued sibling of :meth:`count_keys`, for callers that
-        need to know *which* keys are done (campaign progress over a
-        sharded store), again one aggregated query per 500 keys.
+        need to know *which* keys are done (campaign progress), again
+        one aggregated query per 500 keys.
         """
         conn = self._conn()
         present: set = set()
@@ -701,6 +701,18 @@ class ResultStore:
         compares ``spec_key``.
         """
         now = _utc_now()
+        # Encoded outside the write lock, as in :meth:`put`.
+        row = (
+            name,
+            canonical_json(spec),
+            spec_key,
+            design_name,
+            canonical_json(points),
+            canonical_json(list(keys)),
+            len(keys),
+            now.isoformat(),
+            now.timestamp(),
+        )
         conn = self._conn()
         conn.execute("BEGIN IMMEDIATE")
         try:
@@ -708,17 +720,7 @@ class ResultStore:
                 "INSERT OR IGNORE INTO studies(name, spec, spec_key, "
                 "design_name, points, keys, total, created_at, created_unix) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    name,
-                    canonical_json(spec),
-                    spec_key,
-                    design_name,
-                    canonical_json(points),
-                    canonical_json(list(keys)),
-                    len(keys),
-                    now.isoformat(),
-                    now.timestamp(),
-                ),
+                row,
             )
             conn.execute("COMMIT")
         except BaseException:

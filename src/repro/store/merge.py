@@ -10,9 +10,12 @@ content key mean corruption or non-determinism, never a policy choice).
 :func:`merge_stores` copies raw rows (exact canonical bytes *and*
 provenance columns) from a source store into a destination;
 :func:`sync_stores` runs the merge both ways so two stores converge on
-the union.  Both accept any mix of plain :class:`~repro.store.db.ResultStore`
-files and :class:`~repro.store.shard.ShardedResultStore` directories --
-routing is just :meth:`put_raw` on the destination.
+the union.  A merge is just :meth:`~repro.store.db.ResultStore.put_raw`
+on the destination file, so it is also how partition stores fold back
+into one canonical store -- and how a pre-1.11 sharded store directory
+(whose ``shard-NN.db`` files are each complete stores, ``shard-00``
+holding the journals) migrates to one file:
+``repro-wsn store merge NEW.db DIR/shard-*.db``.
 
 Campaign and study *journals* merge with the same semantics: a name
 both sides know must journal identical content (keys for campaigns,

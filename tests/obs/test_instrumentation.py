@@ -14,7 +14,6 @@ from repro.obs.state import STATE
 from repro.scenario import Scenario
 from repro.store import Campaign, ResultStore
 from repro.store.merge import merge_stores
-from repro.store.shard import ShardedResultStore
 
 
 def _scenarios(n=3, horizon=900.0):
@@ -96,23 +95,20 @@ def test_power_evals_count_without_telemetry(clean_obs):
     assert evals.value() == before
 
 
-def test_merge_and_shard_telemetry(clean_obs, tmp_path):
+def test_merge_telemetry(clean_obs, tmp_path):
     STATE.metrics_on = True
     registry = obs.metrics()
     registry.reset()
     source = ResultStore(tmp_path / "src.db")
     BatchRunner(store=source).run(_scenarios(2, horizon=300.0))
-    dest = ShardedResultStore(tmp_path / "sharded", shards=2)
+    dest = ResultStore(tmp_path / "canonical.db")
     merge_stores(dest, source)
     merged = registry.counter(
         "repro_store_merge_rows_total", "", ("outcome",)
     )
     assert merged.value(outcome="imported") == 2
-    route = registry.counter(
-        "repro_store_shard_route_total", "", ("shard",)
-    )
-    assert sum(route.value(shard=str(i)) for i in range(2)) >= 2
-    assert registry.gauge("repro_store_shards", "").value() == 2
+    merge_stores(dest, source)
+    assert merged.value(outcome="identical") == 2
 
 
 def test_study_chunks_emit_spans(clean_obs, tmp_path):

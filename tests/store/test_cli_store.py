@@ -6,6 +6,7 @@ simulation subcommands, and the canonical result documents written by
 """
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -211,24 +212,34 @@ def test_montecarlo_with_store_dedupes_repeat(db, capsys):
     assert len(store) == 3
 
 
-# -- sharding, merge, partitioned runs -----------------------------------------
+# -- merge, partitioned runs ---------------------------------------------------
 
 
-def test_store_init_sharded_and_stats(tmp_path, capsys):
-    root = str(tmp_path / "sharded")
-    assert main(["store", "init", root, "--shards", "4"]) == 0
-    assert "4 shard(s)" in capsys.readouterr().out
-    assert main(["store", "stats", root]) == 0
-    assert "shards: 4" in capsys.readouterr().out
-
-
-def _cli_manifest(tmp_path, n="2", seed="1"):
+def _cli_manifest(tmp_path, n="2", seed="1", backend=None):
     manifest = tmp_path / "m.json"
-    main(
-        ["gen-scenarios", "hvac", "--n", n, "--seed", seed,
-         "--horizon", "90", "--out", str(manifest)]
-    )
+    argv = ["gen-scenarios", "hvac", "--n", n, "--seed", seed,
+            "--horizon", "90", "--out", str(manifest)]
+    if backend is not None:
+        argv += ["--backend", backend]
+    main(argv)
     return str(manifest)
+
+
+def _assert_same_rows_and_journal(a, b, campaign):
+    """Rows and ``campaign``'s journal are byte-identical in a and b."""
+    assert a.keys() == b.keys()
+    for key in a.keys():
+        assert a.get_payload_text(key) == b.get_payload_text(key)
+        assert a.get_scenario(key) == b.get_scenario(key)
+
+    def journal(store):
+        return store._conn().execute(
+            "SELECT idx, key, scenario FROM campaign_scenarios "
+            "WHERE campaign=? ORDER BY idx",
+            (campaign,),
+        ).fetchall()
+
+    assert journal(a) == journal(b)
 
 
 def test_cli_partitioned_run_and_merge_matches_single(tmp_path, capsys):
@@ -243,9 +254,8 @@ def test_cli_partitioned_run_and_merge_matches_single(tmp_path, capsys):
                      "--name", "acc", "--partitions", "2",
                      "--partition", i]) == 0
     capsys.readouterr()
-    # ...merged into a sharded canonical store.
-    canonical = str(tmp_path / "canonical")
-    assert main(["store", "init", canonical, "--shards", "4"]) == 0
+    # ...merged into one canonical store file.
+    canonical = str(tmp_path / "canonical.db")
     assert main(["store", "merge", canonical,
                  str(tmp_path / "p1.db"), str(tmp_path / "p2.db")]) == 0
     out = capsys.readouterr().out
@@ -253,12 +263,67 @@ def test_cli_partitioned_run_and_merge_matches_single(tmp_path, capsys):
     # The canonical campaign pass finds everything already stored.
     assert main(["campaign", "run", manifest, "--store", canonical,
                  "--name", "acc"]) == 0
-    from repro.store import open_store
+    _assert_same_rows_and_journal(
+        ResultStore(single), ResultStore(canonical), "acc"
+    )
 
-    a, b = ResultStore(single), open_store(canonical)
-    assert a.keys() == b.keys()
-    for key in a.keys():
-        assert a.get_payload_text(key) == b.get_payload_text(key)
+
+class _LoggingBackend:
+    """Envelope backend appending each simulated key to a log file.
+
+    A file, not a list: ``Campaign.run_partitioned`` simulates in forked
+    child processes, whose memory the test cannot see.
+    """
+
+    name = "cli-logging"
+    log = None
+
+    def simulate(self, scenario):
+        from dataclasses import replace
+
+        from repro.backends import EnvelopeBackend
+
+        with open(_LoggingBackend.log, "a") as fh:
+            fh.write(scenario.cache_key() + "\n")
+        return EnvelopeBackend().simulate(replace(scenario, backend="envelope"))
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="partition processes must inherit the test backend",
+)
+def test_cli_run_partitioned_matches_plain_run(tmp_path, monkeypatch):
+    from repro.backends import register_backend
+
+    register_backend("cli-logging", _LoggingBackend, overwrite=True)
+    log = tmp_path / "simulated.log"
+    monkeypatch.setattr(_LoggingBackend, "log", str(log))
+
+    def simulated():
+        return log.read_text().splitlines() if log.exists() else []
+
+    manifest = _cli_manifest(tmp_path, n="4", backend="cli-logging")
+    plain = str(tmp_path / "plain.db")
+    assert main(["campaign", "run", manifest, "--store", plain,
+                 "--name", "acc"]) == 0
+    assert len(simulated()) == 4
+    log.unlink()
+
+    # --partitions without --partition: fan out over processes, merge
+    # into --store, assemble.
+    fanned = str(tmp_path / "fanned.db")
+    argv = ["campaign", "run", manifest, "--store", fanned,
+            "--name", "acc", "--partitions", "2"]
+    assert main(argv) == 0
+    assert sorted(simulated()) == sorted(ResultStore(plain).keys())
+    _assert_same_rows_and_journal(ResultStore(plain), ResultStore(fanned), "acc")
+
+    # A second call finds every row in the partition and canonical
+    # stores and simulates nothing.
+    log.unlink()
+    assert main(argv) == 0
+    assert simulated() == []
+    _assert_same_rows_and_journal(ResultStore(plain), ResultStore(fanned), "acc")
 
 
 def test_cli_partition_flag_validation(tmp_path, capsys):

@@ -27,7 +27,6 @@ from repro.store import (
     Campaign,
     CampaignPartition,
     ResultStore,
-    ShardedResultStore,
     merge_stores,
     partition_name,
     partition_scenarios,
@@ -292,8 +291,8 @@ def test_partitioned_kill_resume_merge_is_byte_identical(tmp_path):
     assert state == "done"
     assert simulated2 == len(parts[1].scenarios)
 
-    # Merge both partition stores into a sharded canonical store.
-    canonical = ShardedResultStore(tmp_path / "canonical", shards=4)
+    # Merge both partition stores into one canonical store file.
+    canonical = ResultStore(tmp_path / "canonical.db")
     merge_stores(canonical, ResultStore(paths[0]), journals=False)
     merge_stores(canonical, ResultStore(paths[1]), journals=False)
 
