@@ -57,12 +57,17 @@ class _HistogramState:
     sum: float
     count: int
 
-    def observe(self, value: float, buckets: Tuple[float, ...]) -> "_HistogramState":
+    def observe(
+        self, values: Sequence[float], buckets: Tuple[float, ...]
+    ) -> "_HistogramState":
         counts = list(self.bucket_counts)
-        for i, bound in enumerate(buckets):
-            if value <= bound:
-                counts[i] += 1
-        return _HistogramState(tuple(counts), self.sum + value, self.count + 1)
+        total = self.sum
+        for value in values:
+            for i, bound in enumerate(buckets):
+                if value <= bound:
+                    counts[i] += 1
+            total += value
+        return _HistogramState(tuple(counts), total, self.count + len(values))
 
     def add(self, other: "_HistogramState") -> "_HistogramState":
         return _HistogramState(
@@ -162,7 +167,15 @@ class Histogram(_Instrument):
         self.buckets = bounds
 
     def observe(self, value: float, **labels) -> None:
-        if not STATE.metrics_on:
+        self.observe_many((value,), **labels)
+
+    def observe_many(self, values: Sequence[float], **labels) -> None:
+        """Observe each value in turn, under one lock and one series update.
+
+        For hot paths that collect many observations (one per tuning
+        session, say) and record them once per batch.
+        """
+        if not STATE.metrics_on or not values:
             return
         key = self._key(labels)
         with self._lock:
@@ -171,7 +184,9 @@ class Histogram(_Instrument):
                 state = _HistogramState(
                     (0,) * len(self.buckets), 0.0, 0
                 )
-            self._series[key] = state.observe(float(value), self.buckets)
+            self._series[key] = state.observe(
+                [float(v) for v in values], self.buckets
+            )
 
     def state(self, **labels) -> _HistogramState:
         with self._lock:

@@ -113,7 +113,9 @@ class Scenario:
     options:
         Backend-specific keyword arguments (e.g. ``dt_max`` /
         ``record_traces`` for the envelope backend, ``points_per_cycle``
-        for the detailed one).  Values must be JSON scalars.
+        for the detailed one).  Values must be JSON scalars.  The
+        scenario keeps its own copy, which must not be mutated after
+        construction: :meth:`cache_key` is computed once per instance.
     name:
         Optional label carried through reports and batch summaries.
     """
@@ -254,12 +256,19 @@ class Scenario:
 
         The cosmetic ``name`` label is excluded (as it is from ``==``),
         so re-labelled copies of the same simulation dedupe and hit the
-        batch cache.
+        batch cache.  The key is computed once per instance and kept on
+        it (pickles carry it along; ``dataclasses.replace`` builds a new
+        instance and so a new key), which is why ``options`` must not be
+        mutated after construction.
         """
-        payload = self.to_dict()
-        del payload["name"]
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            payload = self.to_dict()
+            del payload["name"]
+            canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            key = hashlib.sha256(canonical.encode()).hexdigest()
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
 
 # -- named scenario library ---------------------------------------------------

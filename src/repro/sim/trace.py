@@ -1,20 +1,57 @@
 """Waveform recording.
 
-:class:`Trace` stores (time, value) samples of one quantity;
-:class:`TraceSet` groups traces from a simulation run and exports them to
-CSV for the figure-regeneration benches (Fig. 5 of the paper is produced
-from such a trace of the supercapacitor voltage).
+:class:`Trace` stores (time, value) samples of one quantity as float64
+arrays; :class:`TraceSet` groups traces from a simulation run and exports
+them to CSV for the figure-regeneration benches (Fig. 5 of the paper is
+produced from such a trace of the supercapacitor voltage).
+
+Payloads store every sample column as base64 of little-endian float64
+bytes (:func:`encode_column`), which is bit-exact and about half the size
+of a JSON list of float ``repr`` strings.  The older list form is still
+read.
 """
 
 from __future__ import annotations
 
-import bisect
+import base64
+import binascii
 import io
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
 from repro.errors import SimulationError
+
+#: A stored sample column: a list of floats (result schema 1) or a
+#: base64 string of little-endian float64 bytes (schema 2).
+Column = Union[str, Sequence[float], np.ndarray]
+
+
+def encode_column(samples: np.ndarray) -> str:
+    """Base64 of the samples as little-endian float64 bytes (bit-exact)."""
+    raw = np.ascontiguousarray(samples, dtype="<f8").tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def decode_column(column: Column) -> np.ndarray:
+    """A stored column as a float64 array (read-only when decoded)."""
+    if isinstance(column, str):
+        try:
+            raw = base64.b64decode(column, validate=True)
+        except binascii.Error as exc:
+            raise SimulationError(f"trace column is not base64: {exc}") from exc
+        if len(raw) % 8:
+            raise SimulationError(
+                f"trace column holds {len(raw)} bytes, not whole float64 samples"
+            )
+        return np.frombuffer(raw, dtype="<f8").astype(float, copy=False)
+    return np.asarray(column, dtype=float)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 class Trace:
@@ -22,68 +59,129 @@ class Trace:
 
     Samples must be appended in non-decreasing time order.  Equal-time
     appends overwrite the previous sample, which keeps step-discontinuities
-    representable without zero-width artefacts.
+    representable without zero-width artefacts.  :meth:`from_arrays`
+    applies the same two rules to whole columns at once.
+
+    :attr:`times` and :attr:`values` are read-only views of the stored
+    samples; traces built from arrays may share them with other traces
+    and are copied into a private buffer on their first :meth:`append`.
     """
 
     def __init__(self, name: str):
         self.name = name
-        self._times: List[float] = []
-        self._values: List[float] = []
+        self._times = np.empty(0)
+        self._values = np.empty(0)
+        self._n = 0
+        self._last = 0.0
+        # True while the buffers may be shared (built by from_arrays):
+        # the next append copies them first.
+        self._shared = False
 
     def __len__(self) -> int:
-        return len(self._times)
+        return self._n
 
     def append(self, time: float, value: float) -> None:
         """Record ``value`` at ``time`` (monotone non-decreasing times)."""
-        if self._times and time < self._times[-1]:
+        n = self._n
+        if n:
+            if time < self._last:
+                raise SimulationError(
+                    f"trace {self.name!r}: time went backwards "
+                    f"({time!r} < {self._last!r})"
+                )
+            if time == self._last:
+                if self._shared:
+                    self._grow(n)
+                self._values[n - 1] = value
+                return
+        if self._shared or n == len(self._times):
+            self._grow(max(2 * n, 64))
+        self._times[n] = time
+        self._values[n] = value
+        self._last = float(time)
+        self._n = n + 1
+
+    def _grow(self, capacity: int) -> None:
+        """Move the samples into private buffers of ``capacity`` slots."""
+        n = self._n
+        times = np.empty(capacity)
+        values = np.empty(capacity)
+        times[:n] = self._times[:n]
+        values[:n] = self._values[:n]
+        self._times, self._values, self._shared = times, values, False
+
+    @classmethod
+    def from_arrays(cls, name: str, times: Column, values: Column) -> "Trace":
+        """A trace holding the given sample columns, under :meth:`append`'s rules.
+
+        A time below its predecessor raises :class:`SimulationError`
+        exactly as the corresponding :meth:`append` would; a run of equal
+        times keeps its first time and its last value.  Columns that
+        need no change are kept as given (not copied).
+        """
+        t = decode_column(times)
+        v = decode_column(values)
+        if t.ndim != 1 or t.shape != v.shape:
             raise SimulationError(
-                f"trace {self.name!r}: time went backwards "
-                f"({time!r} < {self._times[-1]!r})"
+                f"trace {name!r} payload has {t.size} times but {v.size} values"
             )
-        if self._times and time == self._times[-1]:
-            self._values[-1] = value
-            return
-        self._times.append(time)
-        self._values.append(value)
+        if len(t) > 1:
+            back = t[1:] < t[:-1]
+            fresh = t[1:] != t[:-1]
+            if back.any():
+                k = int(np.argmax(back)) + 1
+                # The sample a sequential append compares against: the
+                # first time of the equal-time run ending at ``k - 1``.
+                head = int(np.flatnonzero(np.r_[True, fresh[: k - 1]])[-1])
+                raise SimulationError(
+                    f"trace {name!r}: time went backwards "
+                    f"({float(t[k])!r} < {float(t[head])!r})"
+                )
+            if not fresh.all():
+                t, v = t[np.r_[True, fresh]], v[np.r_[fresh, True]]
+        trace = cls(name)
+        trace._times, trace._values, trace._n = t, v, len(t)
+        trace._shared = True
+        if len(t):
+            trace._last = float(t[-1])
+        return trace
 
     @property
     def times(self) -> np.ndarray:
-        """Sample times as an array."""
-        return np.asarray(self._times, dtype=float)
+        """Sample times (a read-only array)."""
+        return _frozen(self._times[: self._n])
 
     @property
     def values(self) -> np.ndarray:
-        """Sample values as an array."""
-        return np.asarray(self._values, dtype=float)
+        """Sample values (a read-only array)."""
+        return _frozen(self._values[: self._n])
 
     def at(self, time: float) -> float:
         """Zero-order-hold lookup: value of the last sample at or before ``time``."""
-        if not self._times:
+        if not self._n:
             raise SimulationError(f"trace {self.name!r} is empty")
-        idx = bisect.bisect_right(self._times, time) - 1
-        if idx < 0:
-            return self._values[0]
-        return self._values[idx]
+        idx = int(np.searchsorted(self.times, time, side="right")) - 1
+        return float(self._values[max(idx, 0)])
 
     def interp(self, time: float) -> float:
         """Linear interpolation at ``time`` (clamped at the ends)."""
-        if not self._times:
+        if not self._n:
             raise SimulationError(f"trace {self.name!r} is empty")
-        value = float(np.interp(time, self._times, self._values))
+        value = float(np.interp(time, self.times, self.values))
         if not np.isfinite(value):
             # A subnormal gap between samples overflows the slope in
             # (v1-v0)/(t1-t0); a gap that small is below any meaningful
             # time resolution, so the step lookup is the honest answer
             # (and stays within the sampled value range).
-            return float(self.at(time))
+            return self.at(time)
         return value
 
     def resample(self, times: Sequence[float]) -> np.ndarray:
         """Linearly interpolate the trace onto the given time grid."""
-        if not self._times:
+        if not self._n:
             raise SimulationError(f"trace {self.name!r} is empty")
         grid = np.asarray(times, dtype=float)
-        out = np.interp(grid, self._times, self._values)
+        out = np.interp(grid, self.times, self.values)
         bad = ~np.isfinite(out)
         if bad.any():
             # Same subnormal-gap overflow as interp(): fall back to the
@@ -92,26 +190,20 @@ class Trace:
         return out
 
     def to_payload(self) -> dict:
-        """Plain-JSON representation (parallel time/value lists)."""
+        """Plain-JSON representation: base64 float64 time/value columns."""
         return {
-            "times": [float(t) for t in self._times],
-            "values": [float(v) for v in self._values],
+            "times": encode_column(self.times),
+            "values": encode_column(self.values),
         }
 
     @classmethod
     def from_payload(cls, name: str, payload: dict) -> "Trace":
-        """Rebuild a trace from :meth:`to_payload` output."""
-        times = payload.get("times", [])
-        values = payload.get("values", [])
-        if len(times) != len(values):
-            raise SimulationError(
-                f"trace {name!r} payload has {len(times)} times "
-                f"but {len(values)} values"
-            )
-        trace = cls(name)
-        for t, v in zip(times, values):
-            trace.append(float(t), float(v))
-        return trace
+        """Rebuild a trace from :meth:`to_payload` output.
+
+        Also reads the schema-1 form, whose columns are JSON lists of
+        floats.
+        """
+        return cls.from_arrays(name, payload.get("times", []), payload.get("values", []))
 
     def min(self) -> float:
         """Smallest recorded value."""
@@ -173,6 +265,13 @@ class TraceSet:
             raise SimulationError(f"no trace named {existing!r} to alias")
         self._traces[name] = self._traces[existing]
 
+    def add(self, trace: Trace) -> None:
+        """Store ``trace`` under its own name, replacing any trace of that name.
+
+        Aliases of a replaced trace keep the trace they were made for.
+        """
+        self._traces[trace.name] = trace
+
     def __getitem__(self, name: str) -> Trace:
         return self._traces[name]
 
@@ -183,34 +282,57 @@ class TraceSet:
     def to_payload(self) -> dict:
         """Plain-JSON representation of every trace.
 
-        Aliased names (see :meth:`alias`) are stored as ``{"alias": ...}``
-        references to the first name that owns the samples, so shared
-        traces stay shared after a round-trip and payloads carry each
-        sample list once.
+        ``{"times": [column, ...], "signals": {name: entry}}``: each
+        distinct time column is stored once, as base64 float64, and a
+        signal's entry gives its index in ``times`` next to its own
+        base64 ``values`` column.  Aliased names (see :meth:`alias`) are
+        stored as ``{"alias": ...}`` references to the first name that
+        owns the samples, so shared traces stay shared after a
+        round-trip and payloads carry each sample column once.
         """
-        payload: Dict[str, dict] = {}
+        columns: Dict[str, int] = {}
+        signals: Dict[str, dict] = {}
         owner_by_id: Dict[int, str] = {}
         for name in self.names():
             trace = self._traces[name]
-            owner = owner_by_id.get(id(trace))
-            if owner is None:
-                owner_by_id[id(trace)] = name
-                payload[name] = trace.to_payload()
-            else:
-                payload[name] = {"alias": owner}
-        return payload
+            owner = owner_by_id.setdefault(id(trace), name)
+            if owner != name:
+                signals[name] = {"alias": owner}
+                continue
+            entry = trace.to_payload()
+            entry["times"] = columns.setdefault(entry["times"], len(columns))
+            signals[name] = entry
+        return {"times": list(columns), "signals": signals}
 
     @classmethod
-    def from_payload(cls, payload: Dict[str, dict]) -> "TraceSet":
-        """Rebuild a trace set from :meth:`to_payload` output."""
+    def from_payload(cls, payload: Dict[str, dict], legacy: bool = False) -> "TraceSet":
+        """Rebuild a trace set from :meth:`to_payload` output.
+
+        ``legacy=True`` reads the result-schema-1 layout instead: one
+        ``{"times": [...], "values": [...]}`` list pair (or alias) per
+        name.
+        """
         traces = cls()
+        if legacy:
+            entries, columns = payload, None
+        else:
+            entries = payload.get("signals", {})
+            columns = [decode_column(c) for c in payload.get("times", [])]
         aliases = []
-        for name in sorted(payload):
-            entry = payload[name]
+        for name in sorted(entries):
+            entry = entries[name]
             if "alias" in entry:
                 aliases.append((name, entry["alias"]))
-            else:
-                traces._traces[name] = Trace.from_payload(name, entry)
+                continue
+            if columns is not None:
+                index = entry.get("times")
+                if not isinstance(index, int) or not 0 <= index < len(columns):
+                    raise SimulationError(
+                        f"trace {name!r} names time column {index!r} of "
+                        f"{len(columns)}"
+                    )
+                entry = {"times": columns[index], "values": entry.get("values", "")}
+            traces.add(Trace.from_payload(name, entry))
         for name, existing in aliases:
             traces.alias(name, existing)
         return traces

@@ -40,7 +40,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.errors import ConfigError, DesignError, StoreError
+from repro.errors import ConfigError, DesignError, ReproError, StoreError
 from repro.obs.metrics import metrics as _obs_metrics
 from repro.obs.state import STATE as _OBS
 from repro.scenario import Scenario
@@ -188,6 +188,30 @@ def canonical_json(payload: object) -> str:
     byte comparison a meaningful integrity check.
     """
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def same_result_payload(mine: str, theirs: str) -> bool:
+    """Whether two stored payload texts hold the same result.
+
+    Equal bytes match.  Rows written under different result schemas (a
+    schema-1 row and its schema-2 twin) match when both decode and
+    re-encode to the same current canonical text, which for the float
+    trace columns is a bit-exact comparison.  Any other difference,
+    including two differing rows of one schema, does not match.
+    """
+    if mine == theirs:
+        return True
+    try:
+        payloads = [json.loads(mine), json.loads(theirs)]
+        if not all(isinstance(p, dict) for p in payloads):
+            return False
+        if payloads[0].get("schema", 1) == payloads[1].get("schema", 1):
+            return False
+        a, b = (canonical_json(SystemResult.from_payload(p).to_payload()) for p in payloads)
+    except (ValueError, TypeError, LookupError, AttributeError, ReproError):
+        # A payload that does not decode cannot equal one that does.
+        return False
+    return a == b
 
 
 def _utc_now() -> datetime:
@@ -500,12 +524,13 @@ class ResultStore:
 
         The merge/sync primitive: unlike :meth:`put` it preserves the
         source row's exact canonical bytes and provenance columns.
-        First writer wins, but a key collision with *different*
-        canonical bytes (scenario or payload) is a hard
-        :class:`~repro.errors.StoreError` -- content-addressed rows may
-        only ever collide identically.  ``source`` labels where the row
-        came from in that error.  Returns ``True`` when this call
-        inserted the row.
+        First writer wins, but a key collision with *different* content
+        is a hard :class:`~repro.errors.StoreError` -- content-addressed
+        rows may only ever collide identically.  Scenario texts must be
+        equal; payloads must be equal or be the same result under two
+        result schemas (:func:`same_result_payload`), and the row
+        already held is kept.  ``source`` labels where the row came from
+        in that error.  Returns ``True`` when this call inserted the row.
         """
         if len(row) != len(RESULT_COLUMNS):
             raise StoreError(
@@ -530,15 +555,12 @@ class ResultStore:
             return True
         scenario_idx = RESULT_COLUMNS.index("scenario")
         payload_idx = RESULT_COLUMNS.index("payload")
-        if (row[scenario_idx], row[payload_idx]) != tuple(existing):
-            diverged = [
-                label
-                for label, mine, theirs in (
-                    ("scenario", existing[0], row[scenario_idx]),
-                    ("payload", existing[1], row[payload_idx]),
-                )
-                if mine != theirs
-            ]
+        diverged = []
+        if row[scenario_idx] != existing[0]:
+            diverged.append("scenario")
+        if not same_result_payload(existing[1], row[payload_idx]):
+            diverged.append("payload")
+        if diverged:
             raise StoreError(
                 f"result {row[0]} in {self.path} and "
                 f"{source or 'the incoming row'} share a content key but "

@@ -6,6 +6,9 @@ trivially mergeable: copy the rows the destination lacks, verify that
 rows both sides hold are *byte-identical*, and refuse loudly when they
 are not (:class:`~repro.errors.StoreError` -- diverging bytes under one
 content key mean corruption or non-determinism, never a policy choice).
+The one allowance is the result-schema upgrade: a schema-1 row and a
+schema-2 row of the same result decode to the same result and are
+accepted as identical (:func:`~repro.store.db.same_result_payload`).
 
 :func:`merge_stores` copies raw rows (exact canonical bytes *and*
 provenance columns) from a source store into a destination;
@@ -34,7 +37,7 @@ from repro.errors import StoreError
 from repro.obs.metrics import metrics as _obs_metrics
 from repro.obs.state import STATE as _OBS
 from repro.obs.trace import span
-from repro.store.db import RESULT_COLUMNS, ResultStore
+from repro.store.db import RESULT_COLUMNS, ResultStore, same_result_payload
 
 #: Store-merge telemetry: rows moved (or found identical) per merge.
 _MERGE_ROWS = _obs_metrics().counter(
@@ -201,9 +204,8 @@ def _dry_run_report(
         held = dest.get_raw(row[0])
         if held is None:
             imported += 1
-        elif (held[scenario_idx], held[payload_idx]) == (
-            row[scenario_idx],
-            row[payload_idx],
+        elif held[scenario_idx] == row[scenario_idx] and same_result_payload(
+            held[payload_idx], row[payload_idx]
         ):
             identical += 1
         else:

@@ -21,8 +21,14 @@ from repro.system.config import SystemConfig
 
 #: Version stamp written into every result JSON payload.  Bump when the
 #: layout changes incompatibly; ``SystemResult.from_payload`` (and hence
-#: the on-disk result store) refuses unknown versions.
-RESULT_SCHEMA = 1
+#: the on-disk result store) refuses unknown versions.  Schema 2 stores
+#: trace samples as base64 float64 columns with shared time columns
+#: (:meth:`~repro.sim.trace.TraceSet.to_payload`); schema 1 stored them
+#: as JSON float lists, one time list per trace.
+RESULT_SCHEMA = 2
+
+#: Every schema :meth:`SystemResult.from_payload` reads.
+READABLE_SCHEMAS = (1, 2)
 
 
 @dataclass
@@ -174,19 +180,20 @@ class SystemResult:
     def from_payload(cls, payload: Mapping) -> "SystemResult":
         """Rebuild a result from :meth:`to_payload` output.
 
-        Unversioned payloads are accepted as schema 1; unknown versions
-        and non-object payloads raise :class:`~repro.errors.DesignError`.
+        Reads every schema in :data:`READABLE_SCHEMAS`; unversioned
+        payloads are accepted as schema 1.  Unknown versions and
+        non-object payloads raise :class:`~repro.errors.DesignError`.
         """
         if not isinstance(payload, Mapping):
             raise DesignError(
                 f"result payload must be a JSON object, "
                 f"got {type(payload).__name__}"
             )
-        schema = payload.get("schema", RESULT_SCHEMA)
-        if schema != RESULT_SCHEMA:
+        schema = payload.get("schema", 1)
+        if schema not in READABLE_SCHEMAS:
             raise DesignError(
-                f"unsupported result schema {schema!r} "
-                f"(this library reads schema {RESULT_SCHEMA})"
+                f"unsupported result schema {schema!r} (this library reads "
+                f"schemas {', '.join(map(str, READABLE_SCHEMAS))})"
             )
         cfg = payload.get("config", {})
         return cls(
@@ -198,7 +205,9 @@ class SystemResult:
             horizon=float(payload.get("horizon", 0.0)),
             transmissions=int(payload.get("transmissions", 0)),
             breakdown=EnergyBreakdown.from_payload(payload.get("breakdown", {})),
-            traces=TraceSet.from_payload(payload.get("traces", {})),
+            traces=TraceSet.from_payload(
+                payload.get("traces", {}), legacy=schema == 1
+            ),
             tuning_events=[
                 TuningEvent.from_payload(ev)
                 for ev in payload.get("tuning_events", [])

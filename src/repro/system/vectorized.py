@@ -79,6 +79,7 @@ from repro.obs.metrics import metrics as _obs_metrics
 from repro.obs.state import STATE as _OBS
 from repro.obs.trace import span
 from repro.scenario import PartsSpec, Scenario
+from repro.sim.trace import Trace
 from repro.system.components import (
     SystemParts,
     paper_lut,
@@ -105,6 +106,11 @@ _SIM_RUNS = _obs_metrics().counter(
     "Completed simulation runs per backend",
     ("backend",),
 )
+
+#: The signals every traced lane records, in the order
+#: :meth:`VectorizedEnvelopeEngine._split_traces` derives them (the
+#: scalar ``EnvelopeSimulator._trace_point`` records the same four).
+_TRACE_SIGNALS = ("v_store", "harvest_power", "position", "input_frequency")
 
 #: Same runaway-protection bound as the scalar integrator.  The scalar
 #: guard resets per ``_integrate_until`` call (one inter-event stretch);
@@ -225,6 +231,17 @@ class VectorizedEnvelopeEngine:
         )
         self.traced = np.array([s.record_traces for s in sims], dtype=bool)
         self._any_traced = bool(self.traced.any())
+        # Trace recording is columnar: each step appends one array per
+        # recorded state column for the lanes it traced, and the run
+        # splits them per lane once every lane is done
+        # (:meth:`_record_traces`, :meth:`_split_traces`).
+        self._recorded: List[Tuple[np.ndarray, ...]] = []
+        # Array mirrors of each lane's actuator position and input
+        # frequency, the two traced signals the step math does not
+        # produce; kept in sync by :meth:`_retune`, :meth:`_refresh` and
+        # :meth:`_advance_pointers`.
+        self._pos_a = np.zeros(n)
+        self._freq_a = np.zeros(n)
 
         # Vibration-profile geometry: per-lane segment start times padded
         # with +inf so pointer reads never go out of bounds, plus cached
@@ -335,6 +352,10 @@ class VectorizedEnvelopeEngine:
         self._sess_t0 = [0.0] * n
         self._sess_e0 = [0.0] * n
         self._sess_wall = [0.0] * n
+        # Wall seconds of the sessions finished while telemetry is on,
+        # recorded once per batch by :meth:`run` (per-session metric
+        # updates cost about 2% of a trace-free 256-lane batch).
+        self._session_walls: List[float] = []
         self._res_cache: Dict[Tuple[int, float], Tuple[object, float, float, float]] = {}
         # One-entry per-lane memo in front of the shared cache: fine
         # tuning alternates between a couple of neighbouring positions,
@@ -420,6 +441,7 @@ class VectorizedEnvelopeEngine:
         exactly as the scalar harvester derives them.
         """
         _, wn, zt, ce = self._resonator(i)
+        self._pos_a[i] = self.sims[i].micro.position
         self._wn[i] = wn
         self._zt[i] = zt
         self._ce[i] = ce
@@ -447,6 +469,7 @@ class VectorizedEnvelopeEngine:
         self.voc[i] = max(emf - 2.0 * self._vd[i], 0.0)
         self.plim[i] = self._eff[i] * (0.5 * self._ce[i] * velocity * velocity)
         self.freq[i] = f
+        self._freq_a[i] = f
 
     def _resync(self, i: int) -> None:
         """Rebuild the lane's profile pointers after a scalar excursion."""
@@ -509,6 +532,7 @@ class VectorizedEnvelopeEngine:
             # NumPy's is not guaranteed bit-equal), so each lane gets
             # the exact floats a scalar refresh would produce.
             f_arr = np.array(f_new)
+            self._freq_a[idx] = f_arr
             accel = np.array(a_new)
             w = 2.0 * math.pi * f_arr
             wn = self._wn_a[idx]
@@ -763,8 +787,7 @@ class VectorizedEnvelopeEngine:
         sim._session_active = False
         self._gen[i] = None
         if _OBS.metrics_on:
-            _TUNING_SESSIONS.inc()
-            _SESSION_SECONDS.observe(time.perf_counter() - self._sess_wall[i])
+            self._session_walls.append(time.perf_counter() - self._sess_wall[i])
         sim.tuning_events.append(
             TuningEvent(
                 time=self._sess_t0[i],
@@ -816,6 +839,11 @@ class VectorizedEnvelopeEngine:
                         "vectorized integrator failed to advance"
                     )
                 self._step(stepping)
+            self._split_traces()
+            if self._session_walls:
+                _TUNING_SESSIONS.inc(len(self._session_walls))
+                _SESSION_SECONDS.observe_many(self._session_walls)
+                self._session_walls = []
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -1016,26 +1044,64 @@ class VectorizedEnvelopeEngine:
             self._record_traces(mask & self.traced)
 
     def _record_traces(self, mask) -> None:
-        """Mirror the scalar ``_trace_point`` for trace-enabled lanes."""
-        if not mask.any():
+        """Mirror the scalar ``_trace_point`` for trace-enabled lanes.
+
+        Each step stores one array per recorded state column (time,
+        stored energy, harvest coefficients, position, frequency) for
+        the masked lanes; :meth:`_split_traces` derives the traced
+        signals from them and splits them per lane at the end.
+        """
+        lanes = np.flatnonzero(mask)
+        if lanes.size:
+            self._recorded.append((
+                lanes,
+                self.t[lanes],
+                self.energy[lanes],
+                self.voc[lanes],
+                self.plim[lanes],
+                self._pos_a[lanes],
+                self._freq_a[lanes],
+            ))
+
+    def _split_traces(self) -> None:
+        """Append the recorded steps to each traced lane's traces.
+
+        The signals are computed over all recorded steps at once, with
+        the elementwise expressions the scalar ``_trace_point`` evaluates
+        per sample.  A lane's traces already hold the sample its
+        simulator recorded at construction; the recorded steps follow it
+        under ``Trace.append``'s rules
+        (:meth:`~repro.sim.trace.Trace.from_arrays`), and the four
+        signals of a lane share one time array.
+        """
+        if not self._recorded:
             return
-        E = self.energy
+        columns = [np.concatenate(c) for c in zip(*self._recorded)]
+        self._recorded = []
+        order = np.argsort(columns[0], kind="stable")
+        lanes, t, E, voc, plim, pos, freq = [c[order] for c in columns]
+        del columns
+        cap, kc, rs = self.cap[lanes], self.kc[lanes], self.rs[lanes]
         with np.errstate(invalid="ignore"):
-            v = np.where(
-                E > 0.0, np.sqrt(np.maximum(2.0 * E, 0.0) / self.cap), 0.0
-            )
-            p_th = v * ((self.kc * (self.voc - v)) / self.rs)
-            p_th = np.where(self.voc > v, p_th, 0.0)
-            p_h = np.minimum(p_th, self.plim)
-        for idx in np.nonzero(mask)[0]:
-            i = int(idx)
-            sim = self.sims[i]
-            t = float(self.t[i])
-            traces = sim.traces
-            traces.trace("v_store").append(t, float(v[i]))
-            traces.trace("harvest_power").append(t, float(p_h[i]))
-            traces.trace("position").append(t, sim.micro.position)
-            traces.trace("input_frequency").append(t, float(self.freq[i]))
+            v = np.where(E > 0.0, np.sqrt(np.maximum(2.0 * E, 0.0) / cap), 0.0)
+            p_th = v * ((kc * (voc - v)) / rs)
+            p_th = np.where(voc > v, p_th, 0.0)
+            p_h = np.minimum(p_th, plim)
+        signals = (v, p_h, pos, freq)
+        counts = np.bincount(lanes, minlength=len(self.sims))
+        ends = np.cumsum(counts)
+        for i in np.flatnonzero(self.traced).tolist():
+            lo, hi = int(ends[i] - counts[i]), int(ends[i])
+            traces = self.sims[i].traces
+            joined: Dict[bytes, np.ndarray] = {}
+            for name, column in zip(_TRACE_SIGNALS, signals):
+                head = traces.trace(name)
+                key = head.times.tobytes()
+                times = joined.get(key)
+                if times is None:
+                    times = joined[key] = np.concatenate((head.times, t[lo:hi]))
+                values = np.concatenate((head.values, column[lo:hi]))
+                traces.add(Trace.from_arrays(name, times, values))
 
 
 # -- public entry point ------------------------------------------------------

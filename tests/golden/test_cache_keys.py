@@ -33,3 +33,18 @@ def test_cache_key_is_stable_within_process():
     keys_a = build_cache_keys()
     keys_b = build_cache_keys()
     assert keys_a == keys_b
+
+
+def test_memoised_and_pickled_keys_match_pinned_digests():
+    """Keys read back from the per-instance memo, and from pickled
+    copies (what process pools ship), equal the pinned digests."""
+    import pickle
+
+    from repro.scenario import named_scenario
+
+    expected = json.loads(CACHE_KEYS_PATH.read_text())
+    for name in ("paper", "bursty", "low-vibration", "cold-start"):
+        scenario = named_scenario(name)
+        assert scenario.cache_key() == expected[name]
+        assert scenario.cache_key() == expected[name]
+        assert pickle.loads(pickle.dumps(scenario)).cache_key() == expected[name]

@@ -1,6 +1,7 @@
 """The metrics registry: instruments, snapshots, merging, exposition."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -62,6 +63,43 @@ def test_histogram_buckets_are_cumulative(on):
     assert state.bucket_counts == (1, 3, 4)  # cumulative, +Inf == count
     assert state.count == 5
     assert state.sum == pytest.approx(56.05)
+
+
+def test_histogram_observe_many_equals_observing_in_turn(on):
+    values = (0.05, 0.5, 0.5, 5.0, 50.0, float("nan"), 1.0)
+    one = on.histogram("one_seconds", "help", buckets=(0.1, 1.0, 10.0))
+    many = on.histogram("many_seconds", "help", buckets=(0.1, 1.0, 10.0))
+    for value in values:
+        one.observe(value)
+    many.observe_many(values[:2])
+    many.observe_many(values[2:])
+    many.observe_many(())
+    a, b = one.state(), many.state()
+    assert (a.bucket_counts, a.count) == (b.bucket_counts, b.count) == ((1, 4, 5), 7)
+    assert repr(a.sum) == repr(b.sum)
+
+
+def test_vectorized_batch_records_every_tuning_session(clean_obs):
+    """Sessions are recorded once per batch; the totals match the log."""
+    from repro.backends import run_batch
+    from repro.obs.state import STATE
+    from repro.system.envelope import _SESSION_SECONDS, _TUNING_SESSIONS
+    from repro.system.stochastic import named_family
+    from repro.system.vectorized import numpy_available
+
+    if not numpy_available():
+        pytest.skip("vectorized backend needs NumPy")
+    scenarios = [
+        replace(s, backend="vectorized", horizon=900.0)
+        for s in named_family("factory-floor").expand(n=4, seed=3)
+    ]
+    STATE.metrics_on = True
+    before = (_TUNING_SESSIONS.value(), _SESSION_SECONDS.count())
+    results = run_batch(scenarios)
+    sessions = sum(len(r.tuning_events) for r in results)
+    assert sessions > 0
+    assert _TUNING_SESSIONS.value() - before[0] == sessions
+    assert _SESSION_SECONDS.count() - before[1] == sessions
 
 
 def test_registry_get_or_create_is_idempotent(on):

@@ -1,13 +1,15 @@
 """SystemResult JSON round-trip: the canonical persisted form."""
 
+import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.backends import run
 from repro.errors import DesignError, SimulationError
 from repro.scenario import Scenario, named_scenario
-from repro.sim.trace import Trace, TraceSet
+from repro.sim.trace import Trace, TraceSet, encode_column
 from repro.system.result import RESULT_SCHEMA, EnergyBreakdown, SystemResult
 
 
@@ -100,8 +102,47 @@ def test_traceset_alias_round_trip():
     traces.alias("canonical", "native")
     payload = traces.to_payload()
     # The alphabetically first name owns the samples; the other aliases.
-    assert payload["native"] == {"alias": "canonical"}
-    assert payload["canonical"] == {"times": [0.0, 1.0], "values": [1.0, 2.0]}
+    # Time columns are stored once, base64 float64, and named by index.
+    assert payload == {
+        "times": [encode_column(np.array([0.0, 1.0]))],
+        "signals": {
+            "canonical": {"times": 0, "values": encode_column(np.array([1.0, 2.0]))},
+            "native": {"alias": "canonical"},
+        },
+    }
     rebuilt = TraceSet.from_payload(payload)
     assert rebuilt["canonical"] is rebuilt["native"]
     assert list(rebuilt["native"].values) == [1.0, 2.0]
+
+
+def test_traceset_alias_reads_schema_1():
+    """The schema-1 layout: one float-list pair per owner, aliases by name."""
+    payload = {
+        "native": {"alias": "canonical"},
+        "canonical": {"times": [0.0, 1.0], "values": [1.0, 2.0]},
+    }
+    rebuilt = TraceSet.from_payload(payload, legacy=True)
+    assert rebuilt["canonical"] is rebuilt["native"]
+    assert list(rebuilt["native"].times) == [0.0, 1.0]
+    assert list(rebuilt["native"].values) == [1.0, 2.0]
+
+
+def test_schema_1_result_payload_reads_and_upgrades(paper_result):
+    """A schema-1 payload (float-list traces) decodes to the same result,
+    and re-encodes to the schema-2 payload byte for byte."""
+    payload = paper_result.to_payload()
+    legacy = dict(payload, schema=1, traces={
+        name: {"times": [float(x) for x in trace.times],
+               "values": [float(x) for x in trace.values]}
+        for name, trace in ((n, paper_result.traces[n])
+                            for n in paper_result.traces.names())
+    })
+    rebuilt = SystemResult.from_payload(json.loads(json.dumps(legacy)))
+    assert rebuilt.to_json() == paper_result.to_json()
+
+
+def test_v2_trace_column_index_is_checked():
+    payload = {"times": [encode_column(np.array([0.0]))],
+               "signals": {"v": {"times": 1, "values": encode_column(np.array([1.0]))}}}
+    with pytest.raises(SimulationError):
+        TraceSet.from_payload(payload)

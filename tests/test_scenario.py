@@ -96,6 +96,34 @@ def test_options_copied_at_construction():
     assert s.cache_key() == key
 
 
+def test_cache_key_is_memoised_and_survives_pickling():
+    import pickle
+
+    s = _sample_scenario()
+    key = s.cache_key()
+    assert s.__dict__["_cache_key"] == key
+    assert s.cache_key() is key
+    copy = pickle.loads(pickle.dumps(s))
+    assert copy.__dict__["_cache_key"] == key
+    assert copy == s
+    assert copy.cache_key() == key
+
+
+def test_replace_recomputes_the_memoised_key():
+    from dataclasses import replace
+
+    s = _sample_scenario()
+    key = s.cache_key()
+    other = replace(s, seed=43)
+    assert "_cache_key" not in other.__dict__
+    assert other.cache_key() != key
+    fresh = Scenario.from_dict(other.to_dict())
+    assert other.cache_key() == fresh.cache_key()
+    # The memo is not a field: equality and the JSON form ignore it.
+    assert replace(other, seed=42) == s
+    assert "_cache_key" not in s.to_dict()
+
+
 def test_scenarios_usable_as_dict_keys():
     s = _sample_scenario()
     table = {s: 1, s.with_seed(43): 2}
